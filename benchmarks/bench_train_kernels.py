@@ -29,8 +29,20 @@ under ``"blocked"`` it must hold ≥ 2× the contexts/s of ``"proposed"``
 under ``"blocked"`` — the rank-k span solve amortized chunk-wide.  The
 ``BENCH_*.json`` twin is uploaded by CI, so the walks/s trajectory — now
 including OS-ELM throughput — is tracked PR over PR.
+
+The matrix runs at l=40.  Table 2's own walk length, l=80, gets rows of its
+own for ``"proposed"``: ``proposed@l80`` times ``train_corpus`` under every
+backend, and ``proposed@l80 pipeline`` times the whole
+``train_parallel(n_workers=2)`` run (walk workers included) under
+``"reference"`` and ``"blocked"``.  Both must hold ``blocked`` ≥ 3×
+reference; the pipeline gate needs ≥ 2 cores, since on one core the walk
+workers and the trainer take turns.  Every row runs under
+:func:`repro.utils.blas.single_blas_thread`, the policy the training
+engines apply: with multi-threaded OpenBLAS the per-walk k×k solve of the
+blocked kernel waited on thread wake-ups and fell below reference at l=80.
 """
 
+import os
 import time
 
 import numpy as np
@@ -41,8 +53,10 @@ from repro.embedding.kernels import EXEC_BACKENDS
 from repro.experiments.hyper import Node2VecParams
 from repro.experiments.report import ExperimentReport
 from repro.graph import amazon_photo_like
+from repro.parallel import train_parallel
 from repro.sampling.negative import NegativeSampler
 from repro.sampling.walks import Node2VecWalker
+from repro.utils.blas import single_blas_thread
 
 MODELS = ("original", "proposed", "dataflow", "block", "batch_rls")
 REPEATS = 2
@@ -64,97 +78,128 @@ if NUMBA_AVAILABLE:
     MIN_SPEEDUP[("original", "compiled")] = 5.0
 #: no model may regress below parity minus noise under any backend
 MIN_SPEEDUP_ANY = 0.8
+#: Table 2's walk length: "proposed" under "blocked" must hold this many
+#: times reference there too, in train_corpus and in the whole pipeline
+L80_MIN_SPEEDUP = 3.0
+L80_BACKENDS_PIPELINE = ("reference", "blocked")
 
 
 def test_train_kernels(benchmark, emit_report, profile):
     scale = 0.25 if profile == "paper" else 0.06
     graph = amazon_photo_like(scale=scale, seed=0)
     hyper = Node2VecParams(r=2, l=40, w=8, ns=10)
+    hyper80 = Node2VecParams(r=2, l=80, w=8, ns=10)
 
-    walker = Node2VecWalker(graph, hyper.walk_params(), seed=1)
-    walks = walker.simulate()
+    walks = Node2VecWalker(graph, hyper.walk_params(), seed=1).simulate()
+    walks80 = Node2VecWalker(graph, hyper80.walk_params(), seed=1).simulate()
 
-    def measure(model_name, backend, **model_kwargs):
+    def best_of(timed):
+        """Max-walks/s result of ``REPEATS`` calls of ``timed() ->
+        (seconds, n_walks, n_contexts)``."""
         best = None
         for _ in range(REPEATS):
-            model = make_model(model_name, graph.n_nodes, 32, seed=7, **model_kwargs)
-            trainer = WalkTrainer(
-                model, window=hyper.w, ns=hyper.ns, exec_backend=backend
-            )
-            sampler = NegativeSampler.from_walks(walks, graph.n_nodes, seed=2)
-            t0 = time.perf_counter()
-            trainer.train_corpus(walks, sampler)
-            train_s = time.perf_counter() - t0
-            wps = trainer.n_walks / train_s
+            train_s, n_walks, n_contexts = timed()
+            wps = n_walks / train_s
             if best is None or wps > best["walks_per_s"]:
                 best = {
                     "walks_per_s": wps,
-                    "contexts_per_s": trainer.n_contexts / train_s,
+                    "contexts_per_s": n_contexts / train_s,
                     "train_s": train_s,
-                    "n_walks": trainer.n_walks,
-                    "n_contexts": trainer.n_contexts,
+                    "n_walks": n_walks,
+                    "n_contexts": n_contexts,
                 }
         return best
 
+    def measure(model_name, backend, corpus=walks, hp=hyper, **model_kwargs):
+        def timed():
+            model = make_model(model_name, graph.n_nodes, 32, seed=7, **model_kwargs)
+            trainer = WalkTrainer(model, window=hp.w, ns=hp.ns, exec_backend=backend)
+            sampler = NegativeSampler.from_walks(corpus, graph.n_nodes, seed=2)
+            t0 = time.perf_counter()
+            trainer.train_corpus(corpus, sampler)
+            return time.perf_counter() - t0, trainer.n_walks, trainer.n_contexts
+
+        return best_of(timed)
+
+    def measure_pipeline(backend):
+        """Wall time of the whole streaming run: walk workers + training."""
+
+        def timed():
+            t0 = time.perf_counter()
+            res = train_parallel(
+                graph, dim=32, model="proposed", hyper=hyper80, n_workers=2,
+                exec_backend=backend, negative_source="degree", seed=7,
+            )
+            return time.perf_counter() - t0, res.n_walks, res.n_contexts
+
+        return best_of(timed)
+
+    @single_blas_thread()  # the engines' policy (see module docstring)
     def run():
         report = ExperimentReport(
             name="Train kernels",
             title=(
                 "execution-backend matrix: walks/s per model "
-                f"({graph.n_nodes} nodes, {len(walks)} walks, dim 32)"
+                f"({graph.n_nodes} nodes, {len(walks)} walks, l=40, dim 32; "
+                "plus l=80 rows for 'proposed')"
             ),
             columns=["model"]
             + [f"{b} walks/s" for b in EXEC_BACKENDS]
             + [f"{b} ×ref" for b in EXEC_BACKENDS if b != "reference"],
         )
         rows = {}
-        for model_name in MODELS:
-            per_backend = {b: measure(model_name, b) for b in EXEC_BACKENDS}
-            ref = per_backend["reference"]
+
+        def add_speedup_row(name, per_backend, ref):
+            """One report row: walks/s and ×ref for the measured backends,
+            "-" for the rest."""
             speedups = {
-                b: per_backend[b]["walks_per_s"] / ref["walks_per_s"]
-                for b in EXEC_BACKENDS
+                b: res["walks_per_s"] / ref["walks_per_s"]
+                for b, res in per_backend.items()
             }
             report.add_row(
-                model_name,
-                *(round(per_backend[b]["walks_per_s"], 1) for b in EXEC_BACKENDS),
+                name,
                 *(
-                    f"{speedups[b]:.2f}x"
+                    round(per_backend[b]["walks_per_s"], 1) if b in per_backend else "-"
+                    for b in EXEC_BACKENDS
+                ),
+                *(
+                    f"{speedups[b]:.2f}x" if b in per_backend else "-"
                     for b in EXEC_BACKENDS
                     if b != "reference"
                 ),
             )
-            rows[model_name] = {**per_backend, "speedup": speedups}
+            rows[name] = {**per_backend, "speedup": speedups}
+
+        for model_name in MODELS:
+            per_backend = {b: measure(model_name, b) for b in EXEC_BACKENDS}
+            add_speedup_row(model_name, per_backend, per_backend["reference"])
         # the chunk-deferred headline row: batch_rls at defer_span="chunk"
         # runs only under the span-aware backends (reference/compiled feed
-        # one walk at a time and reject it), so it sits outside the matrix
-        span_backends = ("fused", "blocked")
+        # one walk at a time and reject it), so it sits outside the matrix;
+        # its ×ref is vs the walk-span degeneration
         per_backend = {
-            b: measure("batch_rls", b, defer_span="chunk") for b in span_backends
+            b: measure("batch_rls", b, defer_span="chunk") for b in ("fused", "blocked")
         }
-        ref = rows["batch_rls"]["reference"]  # the walk-span degeneration
-        speedups = {
-            b: per_backend[b]["walks_per_s"] / ref["walks_per_s"]
-            for b in span_backends
+        add_speedup_row("batch_rls@chunk", per_backend, rows["batch_rls"]["reference"])
+        # Table 2's walk length for the paper's model: the kernel alone,
+        # then the whole pipeline it has to win inside
+        per_backend = {
+            b: measure("proposed", b, corpus=walks80, hp=hyper80) for b in EXEC_BACKENDS
         }
-        report.add_row(
-            "batch_rls@chunk",
-            *(
-                round(per_backend[b]["walks_per_s"], 1) if b in span_backends else "-"
-                for b in EXEC_BACKENDS
-            ),
-            *(
-                f"{speedups[b]:.2f}x" if b in span_backends else "-"
-                for b in EXEC_BACKENDS
-                if b != "reference"
-            ),
-        )
-        rows["batch_rls@chunk"] = {**per_backend, "speedup": speedups}
+        add_speedup_row("proposed@l80", per_backend, per_backend["reference"])
+        per_backend = {b: measure_pipeline(b) for b in L80_BACKENDS_PIPELINE}
+        add_speedup_row("proposed@l80 pipeline", per_backend, per_backend["reference"])
         report.data = rows
         report.add_note(
             "walks/s inside WalkTrainer.train_corpus (train stage only; "
             "corpus and sampler built outside the timed region); max of "
-            f"{REPEATS} runs each"
+            f"{REPEATS} runs each; 'proposed@l80 pipeline' is the wall time "
+            "of a whole train_parallel(n_workers=2) run at l=80 (walk "
+            "workers included)"
+        )
+        report.add_note(
+            "every row runs with one BLAS thread per process "
+            "(repro.utils.blas.single_blas_thread), as the engines do"
         )
         report.add_note(
             "fused = bulk negative draw + batched per-walk gather/scatter "
@@ -170,7 +215,8 @@ def test_train_kernels(benchmark, emit_report, profile):
             "anywhere; batch_rls@chunk under blocked >= 2x the contexts/s "
             "of 'proposed' under blocked (the chunk-deferred rank-k span "
             "headline; its x-ref column is vs the model's own walk-span "
-            "reference run)"
+            "reference run); at l=80, blocked >= 3x reference for 'proposed' "
+            "in train_corpus and, on >= 2 cores, in train_parallel"
         )
         report.add_note(
             "numba_available="
@@ -220,4 +266,23 @@ def test_train_kernels(benchmark, emit_report, profile):
             assert res["n_contexts"] == rows[model_name]["reference"]["n_contexts"]
             # sanity: throughputs are finite and positive
             assert np.isfinite(res["walks_per_s"]) and res["walks_per_s"] > 0
+            assert np.isfinite(res["contexts_per_s"]) and res["contexts_per_s"] > 0
+    # Table 2's walk length: the blocked kernel keeps its lead at l=80, and
+    # the lead survives the whole pipeline, walk generation included (on one
+    # core the walk workers and the trainer take turns, so only >= 2 cores)
+    for row, gated in (
+        ("proposed@l80", True),
+        ("proposed@l80 pipeline", (os.cpu_count() or 1) >= 2),
+    ):
+        speedup = rows[row]["speedup"]["blocked"]
+        if gated:
+            assert speedup >= L80_MIN_SPEEDUP, (
+                f"{row}: blocked only {speedup:.2f}x over reference"
+            )
+        ref = rows[row]["reference"]
+        for backend, res in rows[row].items():
+            if backend == "speedup":
+                continue
+            assert res["n_walks"] == ref["n_walks"], (row, backend)
+            assert res["n_contexts"] == ref["n_contexts"], (row, backend)
             assert np.isfinite(res["contexts_per_s"]) and res["contexts_per_s"] > 0

@@ -23,6 +23,7 @@ from repro.graph.csr import CSRGraph
 from repro.hw.opcount import OpCount
 from repro.sampling.negative import NegativeSampler
 from repro.sampling.walks import Node2VecWalker
+from repro.utils.blas import single_blas_thread
 from repro.utils.rng import as_generator, draw_seed
 from repro.utils.validation import check_in_set, check_positive
 
@@ -195,6 +196,7 @@ class WalkTrainer:
         )
 
 
+@single_blas_thread()
 def train_on_graph(
     graph: CSRGraph,
     *,
@@ -216,7 +218,8 @@ def train_on_graph(
     ``"compiled"``,
     see :mod:`repro.embedding.kernels`); ``None`` follows the model's own
     preference (``"reference"`` unless restored from a checkpoint that says
-    otherwise).
+    otherwise).  Like :func:`repro.parallel.train_parallel`, it trains with
+    one BLAS thread (:func:`repro.utils.blas.single_blas_thread`).
     """
     from repro.experiments.hyper import Node2VecParams  # local: avoid cycle
 

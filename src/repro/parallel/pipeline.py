@@ -146,6 +146,7 @@ from repro.parallel.tasks import WalkTask
 from repro.sampling.negative import walk_frequencies
 from repro.sampling.sources import NEGATIVE_SOURCES, NegativeSource, resolve_source
 from repro.sampling.walks import Node2VecWalker, WalkParams
+from repro.utils.blas import pin_single_blas_thread, single_blas_thread
 from repro.utils.rng import SeedLike, as_generator, draw_seed
 from repro.utils.validation import check_in_set, check_positive
 
@@ -185,6 +186,9 @@ def _init_worker(
     graph: CSRGraph, params: WalkParams, seed: int, ring_spec: dict | None
 ) -> None:
     global _WORKER_GRAPH, _WORKER_PARAMS, _WORKER_SEED, _WORKER_RING
+    # forked workers inherit the parent's one-thread BLAS; spawned ones
+    # start from the library default, so pin here too
+    pin_single_blas_thread()
     _WORKER_GRAPH = graph
     _WORKER_PARAMS = params
     _WORKER_SEED = seed
@@ -712,6 +716,7 @@ def _virtual_segments(
         i += room
 
 
+@single_blas_thread()
 def train_parallel(
     graph: CSRGraph,
     *,
@@ -819,6 +824,12 @@ def train_parallel(
     rides out on ``TrainingResult.store`` — the caller owns it (serve
     from it, then ``close()`` it), and readers pinned to an epoch see
     bit-identical vectors while training publishes behind them.
+
+    The run holds every loaded OpenBLAS at one thread
+    (:func:`repro.utils.blas.single_blas_thread`) and restores the caller's
+    counts when it returns or raises: the parallelism is one process per
+    core, and BLAS threads on top of it only wake up to contend with the
+    walk workers.
 
     Returns a :class:`TrainingResult` whose ``telemetry`` field carries the
     per-stage :class:`PipelineTelemetry`.
