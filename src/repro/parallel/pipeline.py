@@ -237,6 +237,29 @@ def _walk_chunk_shm(job: tuple) -> tuple:
     return ("pickle", walks, time.perf_counter() - t0)
 
 
+# How long pool shutdown waits for the jobs still in flight (at most
+# ``prefetch`` chunks) before it gives up and kills the workers.
+_DRAIN_TIMEOUT_S = 30.0
+
+
+def _drain_and_close(pool: Any, pending: deque) -> None:
+    """Let the jobs still in flight finish, then close ``pool`` gracefully.
+
+    ``Pool.terminate`` kills workers wherever they are.  A worker killed
+    while it writes a result holds the result queue's write lock forever,
+    and the pool's task-handler thread, which must write a sentinel to that
+    queue on its way out, then blocks ``terminate``'s join for good.  Once
+    every submitted job has its result, the workers are idle and
+    ``close``/``join`` lets each exit on its own sentinel.  Only a job lost
+    to a dead worker leaves the kill to the caller's ``terminate``."""
+    deadline = time.monotonic() + _DRAIN_TIMEOUT_S
+    for *_, fut in pending:
+        fut.wait(max(0.0, deadline - time.monotonic()))
+    if all(fut.ready() for *_, fut in pending):
+        pool.close()
+        pool.join()
+
+
 class _FlowStats:
     """In-flight walk accounting for one generation pass.
 
@@ -598,67 +621,69 @@ class ParallelWalkGenerator:
             ) as pool:
                 pending: deque = deque()
                 free_slots: deque = deque(range(ring.n_slots)) if ring else deque()
-
-                def _submit_next() -> None:
-                    job = next(job_iter, None)
-                    if job is None:
-                        return
-                    chunk_starts, lo, epoch, task_graph, sid, delta = job
-                    stats.on_submit(len(chunk_starts))
-                    # publish-once snapshot transport: the job carries a
-                    # tiny reference, not the pickled graph, after the
-                    # snapshot's first chunk — and only an O(delta) edge
-                    # payload when the task's delta can extend a live chain
-                    graph_ref = (
-                        store.ref_for(sid, task_graph, delta)
-                        if sid is not None
-                        else None
-                    )
-                    if ring is not None:
-                        slot = free_slots.popleft()
-                        pending.append(
-                            (slot, epoch, sid, pool.apply_async(
-                                _walk_chunk_shm,
-                                ((slot, chunk_starts, lo, graph_ref),),
-                            ))
+                try:
+                    def _submit_next() -> None:
+                        job = next(job_iter, None)
+                        if job is None:
+                            return
+                        chunk_starts, lo, epoch, task_graph, sid, delta = job
+                        stats.on_submit(len(chunk_starts))
+                        # publish-once snapshot transport: the job carries a
+                        # tiny reference, not the pickled graph, after the
+                        # snapshot's first chunk — and only an O(delta) edge
+                        # payload when the task's delta can extend a live chain
+                        graph_ref = (
+                            store.ref_for(sid, task_graph, delta)
+                            if sid is not None
+                            else None
                         )
-                    else:
-                        pending.append(
-                            (None, epoch, sid, pool.apply_async(
-                                _walk_chunk_pickle,
-                                ((chunk_starts, lo, graph_ref),),
-                            ))
-                        )
+                        if ring is not None:
+                            slot = free_slots.popleft()
+                            pending.append(
+                                (slot, epoch, sid, pool.apply_async(
+                                    _walk_chunk_shm,
+                                    ((slot, chunk_starts, lo, graph_ref),),
+                                ))
+                            )
+                        else:
+                            pending.append(
+                                (None, epoch, sid, pool.apply_async(
+                                    _walk_chunk_pickle,
+                                    ((chunk_starts, lo, graph_ref),),
+                                ))
+                            )
 
-                for _ in range(self.prefetch):
-                    _submit_next()
-                # FIFO consumption of the submission order → deterministic
-                while pending:
-                    slot, epoch, sid, fut = pending.popleft()
-                    result = fut.get()
-                    if sid is not None:
-                        # FIFO: a result for sid proves every job of any
-                        # lower sid completed → its segment can go
-                        store.retire_below(sid)
-                    if result[0] == "shm":
-                        _, slot_idx, _count, gen_s = result
-                        walks = ring.read(slot_idx)
-                        stats.on_consume(len(walks))
+                    for _ in range(self.prefetch):
                         _submit_next()
-                        yield walks, gen_s, epoch
-                        # consumer is done with the slot's views: recycle,
-                        # and drop our own frame's view ref so the ring can
-                        # unmap cleanly at shutdown
-                        free_slots.append(slot_idx)
-                        walks = None
-                    else:
-                        _, walks, gen_s = result
-                        stats.on_consume(len(walks))
-                        stats.ipc_walk_bytes += sum(w.nbytes for w in walks)
-                        if slot is not None:  # ragged fallback: slot unused
-                            free_slots.append(slot)
-                        _submit_next()
-                        yield walks, gen_s, epoch
+                    # FIFO consumption of the submission order → deterministic
+                    while pending:
+                        slot, epoch, sid, fut = pending.popleft()
+                        result = fut.get()
+                        if sid is not None:
+                            # FIFO: a result for sid proves every job of any
+                            # lower sid completed → its segment can go
+                            store.retire_below(sid)
+                        if result[0] == "shm":
+                            _, slot_idx, _count, gen_s = result
+                            walks = ring.read(slot_idx)
+                            stats.on_consume(len(walks))
+                            _submit_next()
+                            yield walks, gen_s, epoch
+                            # consumer is done with the slot's views: recycle,
+                            # and drop our own frame's view ref so the ring can
+                            # unmap cleanly at shutdown
+                            free_slots.append(slot_idx)
+                            walks = None
+                        else:
+                            _, walks, gen_s = result
+                            stats.on_consume(len(walks))
+                            stats.ipc_walk_bytes += sum(w.nbytes for w in walks)
+                            if slot is not None:  # ragged fallback: slot unused
+                                free_slots.append(slot)
+                            _submit_next()
+                            yield walks, gen_s, epoch
+                finally:
+                    _drain_and_close(pool, pending)
         finally:
             stats.snapshot_bytes = store.bytes_shipped
             stats.snapshot_bytes_saved = store.bytes_saved

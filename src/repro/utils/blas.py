@@ -118,6 +118,14 @@ def blas_thread_counts() -> dict[str, int]:
     return {pool.path: pool.get_threads() for pool in blas_pools()}
 
 
+def _set_threads(pool: BlasPool, threads: int) -> None:
+    """Set ``pool`` to ``threads`` unless it is there already.  In a forked
+    child, OpenBLAS answers any set call by starting its worker threads
+    again; a count inherited at the right value needs no call at all."""
+    if pool.get_threads() != threads:
+        pool.set_threads(threads)
+
+
 _lock = threading.Lock()
 _depth = 0
 _saved: dict[str, tuple[BlasPool, int]] = {}
@@ -145,7 +153,7 @@ def pin_single_blas_thread() -> None:
     setting that forked ones inherit.  Takes no lock: a forked child may
     inherit one held by another parent thread."""
     for pool in _discover():
-        pool.set_threads(1)
+        _set_threads(pool, 1)
 
 
 @contextmanager
@@ -161,7 +169,7 @@ def single_blas_thread() -> Iterator[None]:
         for pool in _discover():
             if pool.path not in _saved:
                 _saved[pool.path] = (pool, pool.get_threads())
-            pool.set_threads(1)
+            _set_threads(pool, 1)
         _depth += 1
     try:
         yield
@@ -170,5 +178,5 @@ def single_blas_thread() -> Iterator[None]:
             _depth -= 1
             if _depth == 0:
                 for pool, threads in _saved.values():
-                    pool.set_threads(threads)
+                    _set_threads(pool, threads)
                 _saved.clear()

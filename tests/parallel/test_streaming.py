@@ -114,6 +114,29 @@ class TestBoundedBuffering:
         next(it)
         it.close()  # must not hang on the throttled task-handler thread
 
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_shutdown_never_kills_a_worker(self, graph, monkeypatch, transport):
+        """Abandoning the iterator waits out the jobs in flight and closes
+        the pool: every worker exits on its sentinel.  A worker killed while
+        writing a result would leave the result queue locked and wedge
+        ``Pool.terminate``."""
+        pools = []
+        drain = pipeline_mod._drain_and_close
+
+        def spy(pool, pending):
+            pools.append(pool)
+            drain(pool, pending)
+
+        monkeypatch.setattr(pipeline_mod, "_drain_and_close", spy)
+        gen = ParallelWalkGenerator(
+            graph, WalkParams(length=8, walks_per_node=8),
+            n_workers=2, chunk_size=8, prefetch=2, seed=1, transport=transport,
+        )
+        it = gen.generate()
+        next(it)
+        it.close()
+        assert [p.exitcode for p in pools[0]._pool] == [0, 0]
+
     def test_early_consumption_partial(self, graph):
         gen = ParallelWalkGenerator(
             graph, WalkParams(length=8, walks_per_node=4),
