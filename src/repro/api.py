@@ -10,7 +10,7 @@ any trained table (or a live :class:`~repro.store.base.EmbeddingStore` a
 training run published into) behind the async query front end of
 :mod:`repro.serving`.
 
-The pipeline's seven execution knobs also travel as one frozen
+The pipeline's eight execution knobs also travel as one frozen
 :class:`repro.config.PipelineConfig` accepted by every training entry
 point as ``config=``; individually passed kwargs override config fields
 (conflicting duplicates warn ``DeprecationWarning``, equal ones are
@@ -116,37 +116,37 @@ def train_embedding(
     epochs:
         number of passes over the walk corpus.
     n_workers:
-        ``None`` (default) — the sequential trainer.  Any integer routes
-        through the streaming pipeline (:func:`repro.parallel.train_parallel`):
-        0/1 inline, ≥2 a fork pool overlapping walk generation with training.
+        walk workers of the streaming pipeline
+        (:func:`repro.parallel.train_parallel`, which every call runs
+        through): ``None`` (default), 0 or 1 walk inline in this process,
+        ≥2 a fork pool overlapping walk generation with training.  The
+        embedding is bit-identical for every value.
     negative_source:
-        pipeline-only knob; a name from
+        a name from
         :data:`repro.sampling.sources.SOURCE_REGISTRY` or a
         :class:`~repro.sampling.sources.NegativeSource` instance with custom
         knobs (e.g. ``DecayedSource(decay=0.9, rebuild_every=8)``):
 
 {sources}
 
-        Setting it implies the pipelined path even when ``n_workers`` is None.
+        ``None`` (default) is ``"corpus"``, the paper's §3.1 policy.
     negative_power:
         smoothing exponent on the negative-sampling frequencies (word2vec
         default 0.75).
     transport:
-        pipeline-only knob: ``"shm"`` (zero-copy shared-memory ring, the
-        pipeline default) or ``"pickle"`` (portable result-pipe baseline).
-        Setting it implies the pipelined path even when ``n_workers`` is
-        None.
+        ``"shm"`` (zero-copy shared-memory ring, the default) or
+        ``"pickle"`` (portable result-pipe baseline); only a worker pool
+        moves chunks.
     chunk_size:
-        pipeline-only knob: start nodes per work item (int), or ``"auto"``
+        start nodes per work item (int), or ``"auto"``
         to let telemetry rebalance it between epochs.  Chunking never
         changes the *walks* (seeded by global walk index) and — under a
         chunk-invariant backend like ``"reference"`` — never the trained
         embedding either.  ``"fused"`` pins the embedding to the chunk
         schedule, so ``chunk_size="auto"`` (a timing-driven schedule) is
-        rejected with it.  Setting it implies the pipelined path.
+        rejected with it.
     exec_backend:
-        chunk-execution kernel (:mod:`repro.embedding.kernels`), valid on
-        both the sequential and pipelined paths:
+        chunk-execution kernel (:mod:`repro.embedding.kernels`):
 
 {backends}
 
@@ -163,19 +163,15 @@ def train_embedding(
         the result's ``telemetry.exec_backend`` reads
         ``"compiled[fallback=reference]"``.
     prefetch:
-        pipeline-only knob: chunks kept in flight ahead of the trainer
-        (default ``max(2, 2 * n_workers)``).  Setting it implies the
-        pipelined path.
+        chunks kept in flight ahead of the trainer (default
+        ``max(2, 2 * n_workers)``).
     config:
         a frozen :class:`repro.config.PipelineConfig` bundling the
-        pipeline knobs (n_workers, transport, chunk_size, prefetch,
-        exec_backend, negative_source, negative_power).  Individual kwargs
-        override config fields; a *conflicting* duplicate (both set,
-        different values) warns ``DeprecationWarning`` — the kwarg wins.
-        A config that sets any pipeline-routing knob implies the pipelined
-        path, exactly as the kwarg would.
+        pipeline knobs.  Individual kwargs override config fields; a
+        *conflicting* duplicate (both set, different values) warns
+        ``DeprecationWarning`` — the kwarg wins.
     store:
-        serving-store hookup (implies the pipelined path): a name from
+        serving-store hookup: a name from
         :data:`repro.store.STORE_REGISTRY` or a pre-constructed
         :class:`~repro.store.base.EmbeddingStore`:
 
@@ -195,37 +191,9 @@ def train_embedding(
     Returns
     -------
     :class:`repro.embedding.trainer.TrainingResult` with ``.embedding``
-    (n_nodes × dim), the trained model, op-count telemetry, and — on the
-    pipelined path — per-stage ``telemetry``.
+    (n_nodes × dim), the trained model, op-count telemetry and the
+    per-stage pipeline ``telemetry``.
     """
-    cfg = config if config is not None else PipelineConfig()
-    # routing only — knob *values* merge downstream (in train_parallel or
-    # just below for the sequential path) so conflicts warn exactly once
-    pipelined = store is not None or any(
-        knob is not None
-        for knob in (
-            n_workers, negative_source, transport, chunk_size, prefetch,
-            cfg.n_workers, cfg.negative_source, cfg.transport,
-            cfg.chunk_size, cfg.prefetch,
-        )
-    )
-    if not pipelined:
-        from repro.embedding.trainer import train_on_graph
-
-        knobs = cfg.merged(negative_power=negative_power, exec_backend=exec_backend)
-        power = knobs["negative_power"]
-        return train_on_graph(
-            graph,
-            dim=dim,
-            model=model,
-            hyper=hyper,
-            epochs=epochs,
-            negative_power=0.75 if power is None else power,
-            exec_backend=knobs["exec_backend"],
-            seed=seed,
-            **model_kwargs,
-        )
-
     from repro.parallel import train_parallel
 
     return train_parallel(

@@ -22,7 +22,6 @@ from repro.embedding.trainer import (
     TrainingResult,
     WalkTrainer,
     make_model,
-    train_on_graph,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "make_backend",
     "make_model",
     "resolve_backend",
-    "train_on_graph",
 ]

@@ -32,24 +32,22 @@ Backends
       is computed in three ``einsum`` batches, and the updates land in three
       ``np.add.at`` scatters (the software analogue of the FPGA's deferred
       per-walk update, Algorithm 2's structure applied to SGD).
-    * :class:`~repro.embedding.sequential.OSELMSkipGram` — the per-context
-      RLS recursion is inherently sequential (context *i* reads the ``P``
-      and ``β`` context *i−1* wrote), so the kernel keeps the exact
-      per-context ordering but hoists every per-context allocation (the
-      sample/target assembly is one chunk-level ``concatenate``/``tile``)
-      out of the loop.  Given the same negatives this is **bit-identical**
-      to the reference batched duplicate policy.
-    * :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` /
-      :class:`~repro.embedding.block.BlockOSELMSkipGram` — already
-      walk-vectorized; the fused win is the bulk negative draw and the
-      up-front context extraction.  Bit-identical given the same negatives.
+    * the OS-ELM family — each model trains through its own ``train_walk``
+      (the per-context RLS recursion of
+      :class:`~repro.embedding.sequential.OSELMSkipGram` is inherently
+      sequential: context *i* reads the ``P`` and ``β`` context *i−1*
+      wrote; :class:`~repro.embedding.dataflow.DataflowOSELMSkipGram` /
+      :class:`~repro.embedding.block.BlockOSELMSkipGram` are already
+      walk-vectorized), so the fused win is the bulk negative draw and the
+      up-front context extraction.  Given the same negatives this is
+      **bit-identical** to the reference, under either duplicate policy.
 
 ``"blocked"``
     Everything ``"fused"`` does, plus the OS-ELM rank-k block kernel: the
     plain :class:`~repro.embedding.sequential.OSELMSkipGram` chunk — the
-    paper's *proposed* model, the one workload ``"fused"`` could only lift
-    ~1.3× because Algorithm 1's per-context RLS recursion executes one tiny
-    matvec at a time — runs in rank-k blocks (``block_contexts`` per solve,
+    paper's *proposed* model, the one workload ``"fused"`` barely lifts
+    (~1.0–1.1×) because Algorithm 1's per-context RLS recursion executes
+    one tiny matvec at a time — runs in rank-k blocks (``block_contexts`` per solve,
     default one walk per block; blocks never cross a walk boundary):
 
     1. one ``µ·B[centers]`` gather of the block's hidden rows against the
@@ -102,12 +100,13 @@ Backends
 
     ``denominator="paper"`` has no block form (the literal line 5 deflates
     the gain denominator to ``hph``, which the SPD solve does not model) —
-    those models fall back to the fused per-context kernel, as do the
-    deferred dataflow/block models (already walk-vectorized) and
-    ``SkipGramSGD`` (no RLS recursion to block).  With ``forgetting_factor
-    < 1`` the ``1/λ`` rescaling applies once per block rather than once
-    per context (the same per-walk treatment
-    :class:`~repro.embedding.block.BlockOSELMSkipGram` documents).
+    those models run their own per-context ``train_walk``, as do the
+    deferred dataflow/block models (already walk-vectorized), and
+    ``SkipGramSGD`` (no RLS recursion to block) keeps the fused SGD
+    kernel.  With ``forgetting_factor < 1`` the ``1/λ`` rescaling applies
+    once per block rather than once per context (the same per-walk
+    treatment :class:`~repro.embedding.block.BlockOSELMSkipGram`
+    documents).
 
     A model may also *own* deferred semantics rather than borrow them from
     the backend: :class:`~repro.embedding.batch_rls.BatchRLSSkipGram`
@@ -147,15 +146,12 @@ Tolerance contract
    differs from the reference's per-walk draws.  The *distribution* is
    identical (same alias table, same stream).
 2. **Arithmetic, given the same negatives** — exact (bit-identical) for the
-   OS-ELM family under the batched duplicate policy, and for the dataflow /
-   block models.  For ``SkipGramSGD`` the fused kernel defers updates to
-   walk boundaries, so it drifts from the sequential reference by
-   ``O(lr²)`` per window — the same order as the model's own documented
-   in-context scatter accumulation, and the same walk-level deferral whose
-   accuracy cost the paper measures for Algorithm 2 (Figure 5, ≤1.09%).
-   For ``duplicate_policy="sequential"`` OS-ELM models the fused kernel
-   substitutes the batched arithmetic (the policies already agree to float
-   tolerance; see ``OSELMSkipGram.duplicate_policy``).
+   whole OS-ELM family, which trains through the models' own walk updates.
+   For ``SkipGramSGD`` the fused kernel defers updates to walk boundaries,
+   so it drifts from the sequential reference by ``O(lr²)`` per window —
+   the same order as the model's own documented in-context scatter
+   accumulation, and the same walk-level deferral whose accuracy cost the
+   paper measures for Algorithm 2 (Figure 5, ≤1.09%).
 
 ``tests/embedding/test_kernels.py`` pins both halves of the contract:
 kernel arithmetic is compared under *shared* pre-drawn negatives (exact or
@@ -190,7 +186,7 @@ from repro.embedding.batch_rls import BatchRLSSkipGram
 from repro.embedding.block import BlockOSELMSkipGram
 from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.oselm import rank_k_update
-from repro.embedding.sequential import _EPS, OSELMSkipGram
+from repro.embedding.sequential import OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD, _sigmoid
 from repro.hw.opcount import OpCount
 from repro.sampling.corpus import WalkContexts, contexts_from_walk
@@ -224,9 +220,10 @@ __all__ = [
 
 #: Documented relative tolerance of ``"fused"`` vs ``"reference"`` under
 #: *shared* negatives, per model registry name.  ``0.0`` means bit-identical
-#: by construction; ``SkipGramSGD``'s walk-level deferral drifts by
-#: ``O(lr²)`` per window, which the property tests bound at this rtol on
-#: Table 2-scale workloads with the paper's lr = 0.01.
+#: by construction — the OS-ELM family trains through the models' own
+#: ``train_walk`` under both backends; ``SkipGramSGD``'s walk-level
+#: deferral drifts by ``O(lr²)`` per window, which the property tests bound
+#: at this rtol on Table 2-scale workloads with the paper's lr = 0.01.
 FUSED_RTOL: dict[str, float] = {
     "original": 5e-2,
     "proposed": 0.0,
@@ -545,8 +542,8 @@ class FusedKernel(ExecBackend):
     chunk_invariant = False  # one bulk draw per block (module docstring)
     #: bulk-draw/staging width: big enough that the draw and the kernel
     #: dispatch amortize (pipeline chunks are typically ≤ this, so one
-    #: block == one chunk), small enough that a whole-corpus call — the
-    #: sequential trainer's epoch — stays O(block) memory
+    #: block == one chunk), small enough that a whole-corpus
+    #: ``train_corpus`` call stays O(block) memory
     block_walks = 1024
 
     #: fused stages a whole block of contexts, so model-owned cross-walk
@@ -596,85 +593,32 @@ class FusedKernel(ExecBackend):
         contexts: list[WalkContexts],
         negatives: list[np.ndarray],
     ) -> None:
-        # subclass checks first: the deferred models are OSELMSkipGram
-        # subclasses and are already walk-vectorized
-        if isinstance(model, BatchRLSSkipGram):
-            if model.defer_crosses_walks:
-                _train_batch_rls_spans(model, contexts, negatives)
-            else:
-                # "walk"/1 spans clip at walk boundaries, where the model's
-                # own train_walk IS the span — the same calls the reference
-                # backend makes, hence FUSED_RTOL["batch_rls"] = 0.0
-                for ctx, negs in zip(contexts, negatives, strict=True):
-                    model.train_walk(ctx, negs)
-        elif isinstance(model, (DataflowOSELMSkipGram, BlockOSELMSkipGram)):
-            for ctx, negs in zip(contexts, negatives, strict=True):
-                model.train_walk(ctx, negs)
-        elif isinstance(model, OSELMSkipGram):
-            for ctx, negs in zip(contexts, negatives, strict=True):
+        if isinstance(model, BatchRLSSkipGram) and model.defer_crosses_walks:
+            _train_batch_rls_spans(model, contexts, negatives)
+            return
+        # the deferred models are OSELMSkipGram subclasses, already
+        # walk-vectorized: only plain Algorithm 1 takes the _train_oselm seam
+        plain_oselm = isinstance(model, OSELMSkipGram) and not isinstance(
+            model, (BatchRLSSkipGram, DataflowOSELMSkipGram, BlockOSELMSkipGram)
+        )
+        for ctx, negs in zip(contexts, negatives, strict=True):
+            if plain_oselm:
                 self._train_oselm(model, ctx, negs)
-        elif isinstance(model, SkipGramSGD):
-            for ctx, negs in zip(contexts, negatives, strict=True):
+            elif isinstance(model, SkipGramSGD):
                 _train_sgd_fused(model, ctx, negs)
-        else:  # any other EmbeddingModel: fall back to its own walk update
-            for ctx, negs in zip(contexts, negatives, strict=True):
+            else:
+                # the model's own walk update — the same call the reference
+                # backend makes (batch_rls "walk"/1 spans clip at walk
+                # boundaries, where train_walk IS the span), hence the 0.0
+                # FUSED_RTOL entries
                 model.train_walk(ctx, negs)
 
     def _train_oselm(
         self, model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
     ) -> None:
-        """One plain-OSELM walk — the seam :class:`BlockedKernel` overrides
-        with the rank-k block solve."""
-        _train_oselm_fused(model, ctx, negatives)
-
-
-def _train_oselm_fused(
-    model: OSELMSkipGram, ctx: WalkContexts, negatives: np.ndarray
-) -> None:
-    """One walk of Algorithm 1 with every per-context allocation hoisted.
-
-    The RLS recursion itself stays sequential (context *i* reads the ``P``
-    and ``β`` written by context *i−1* — the exact dependency the paper's
-    Algorithm 2 breaks, which is a *different model* here), but the
-    per-context ``samples``/``targets`` assembly collapses into one
-    chunk-level ``concatenate``+``tile``, and the loop body runs on local
-    bindings.  Given the same negatives this is bit-identical to
-    ``train_walk`` under the batched duplicate policy; for
-    ``duplicate_policy="sequential"`` it substitutes the batched arithmetic
-    (float-tolerance-close, see the model docstring).
-    """
-    negatives = model._check_walk_inputs(ctx, negatives)
-    positives = ctx.positives
-    C, J = positives.shape
-    ns = negatives.shape[1]
-    # per-context samples = [positives, tile(negatives, J)] — one allocation
-    # for the whole walk instead of one concatenate+tile per context
-    samples = np.concatenate([positives, np.tile(negatives, (1, J))], axis=1)
-    targets = np.concatenate(
-        [np.ones(J, dtype=np.float64), np.zeros(J * ns, dtype=np.float64)]
-    )
-    B, P = model.B, model.P
-    mu, lam = model.mu, model.forgetting_factor
-    tied = model.weight_tying == "beta"
-    alpha = model._alpha
-    standard = model.denominator == "standard"
-    centers = ctx.centers
-    for i in range(C):
-        H = mu * B[centers[i]] if tied else alpha[centers[i]]
-        Ph = P @ H
-        hph = float(H @ Ph)
-        if standard:
-            denom = lam + hph
-        else:  # literal Algorithm 1 line 5
-            denom = hph if abs(hph) > _EPS else _EPS
-        k = Ph / denom
-        P -= np.outer(k, Ph)
-        if lam != 1.0:
-            P /= lam
-        s = samples[i]
-        errs = targets - B[s] @ H
-        np.add.at(B, s, errs[:, None] * k[None, :])
-    model.n_walks_trained += 1
+        """One plain-OSELM walk — the model's own Algorithm 1 update, the
+        seam :class:`BlockedKernel` overrides with the rank-k block solve."""
+        model.train_walk(ctx, negatives)
 
 
 def _train_sgd_fused(
@@ -782,8 +726,8 @@ class BlockedKernel(FusedKernel):
     ) -> None:
         if model.denominator != "standard":
             # literal Algorithm 1 line 5 (denom = hph) has no SPD block
-            # form — keep the per-context fused kernel for those models
-            _train_oselm_fused(model, ctx, negatives)
+            # form — those models run their own per-context recursion
+            model.train_walk(ctx, negatives)
             return
         _train_oselm_blocked(model, ctx, negatives, self.block_contexts)
 

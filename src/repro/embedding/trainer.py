@@ -3,7 +3,9 @@
 Mirrors the paper's board-level division of labor (§3.2): the host samples
 random walks and negatives (PS side), the model consumes one walk at a time
 (PL side).  The trainer also accumulates the op-count telemetry used by the
-CPU timing models.
+CPU timing models.  The end-to-end run (walks → negative sampler → trainer)
+is :func:`repro.parallel.train_parallel`, the one engine for static corpora
+and dynamic task streams alike.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from repro.embedding.dataflow import DataflowOSELMSkipGram
 from repro.embedding.kernels import EXEC_REGISTRY, default_negative_reuse, resolve_backend
 from repro.embedding.sequential import OSELMSkipGram
 from repro.embedding.skipgram import SkipGramSGD
-from repro.graph.csr import CSRGraph
 from repro.hw.opcount import OpCount
 from repro.sampling.negative import NegativeSampler
-from repro.sampling.walks import Node2VecWalker
-from repro.utils.blas import single_blas_thread
-from repro.utils.rng import as_generator, draw_seed
 from repro.utils.validation import check_in_set, check_positive
 
-__all__ = ["TrainingResult", "WalkTrainer", "make_model", "train_on_graph"]
+__all__ = ["TrainingResult", "WalkTrainer", "make_model"]
 
 MODEL_REGISTRY = {
     "original": SkipGramSGD,
@@ -41,8 +39,8 @@ MODEL_REGISTRY = {
 def make_model(
     name: str, n_nodes: int, dim: int, *, seed=None, **kwargs
 ) -> EmbeddingModel:
-    """Instantiate a model by registry name ('original' | 'proposed' |
-    'dataflow'), forwarding extra keyword arguments."""
+    """Instantiate a model by registry name ({models}), forwarding extra
+    keyword arguments."""
     check_in_set("model", name, tuple(MODEL_REGISTRY))
     return MODEL_REGISTRY[name](n_nodes, dim, seed=seed, **kwargs)
 
@@ -51,9 +49,11 @@ def make_model(
 class TrainingResult:
     """Outcome of a training run.
 
-    ``telemetry`` is ``None`` for the sequential path; the pipelined
-    :func:`repro.parallel.train_parallel` attaches its per-stage
-    :class:`repro.parallel.PipelineTelemetry` here.
+    ``telemetry`` carries the per-stage
+    :class:`repro.parallel.PipelineTelemetry` of the
+    :func:`repro.parallel.train_parallel` run that produced the result;
+    it is ``None`` when the result comes straight from
+    :meth:`WalkTrainer.result` with no telemetry passed.
 
     ``store`` is the live :class:`repro.store.base.EmbeddingStore` the run
     published epoch versions into (``None`` when no ``store=`` was
@@ -196,53 +196,9 @@ class WalkTrainer:
         )
 
 
-@single_blas_thread()
-def train_on_graph(
-    graph: CSRGraph,
-    *,
-    dim: int = 32,
-    model: str | EmbeddingModel = "proposed",
-    hyper=None,
-    epochs: int = 1,
-    negative_power: float = 0.75,
-    exec_backend: str | None = None,
-    seed=None,
-    **model_kwargs,
-) -> TrainingResult:
-    """End-to-end training: walks (Table 2 policy) → negatives → model.
-
-    ``hyper`` is a :class:`repro.experiments.hyper.Node2VecParams` (or None
-    for the paper's defaults).  ``model`` may be a registry name or an
-    already-built :class:`EmbeddingModel`.  ``exec_backend`` selects the
-    chunk-execution kernel (``"reference"`` | ``"fused"`` | ``"blocked"`` |
-    ``"compiled"``,
-    see :mod:`repro.embedding.kernels`); ``None`` follows the model's own
-    preference (``"reference"`` unless restored from a checkpoint that says
-    otherwise).  Like :func:`repro.parallel.train_parallel`, it trains with
-    one BLAS thread (:func:`repro.utils.blas.single_blas_thread`).
-    """
-    from repro.experiments.hyper import Node2VecParams  # local: avoid cycle
-
-    check_positive("epochs", epochs, integer=True)
-    hp = hyper or Node2VecParams()
-    rng = as_generator(seed)
-
-    if isinstance(model, str):
-        model = make_model(
-            model, graph.n_nodes, dim, seed=draw_seed(rng), **model_kwargs
-        )
-    elif model_kwargs:
-        raise ValueError("model_kwargs only apply when model is a registry name")
-
-    walker = Node2VecWalker(graph, hp.walk_params(), seed=draw_seed(rng))
-    trainer = WalkTrainer(model, window=hp.w, ns=hp.ns, exec_backend=exec_backend)
-    sampler: NegativeSampler | None = None
-    for _ in range(epochs):
-        walks = walker.simulate()
-        if sampler is None:
-            # frequency over the entire RW, as in §3.1
-            sampler = NegativeSampler.from_walks(
-                walks, graph.n_nodes, power=negative_power, seed=draw_seed(rng)
-            )
-        trainer.train_corpus(walks, sampler)
-    return trainer.result(hyper=hp)
+# Render the registry names into make_model's docs so they can never drift
+# from the validated set.
+if make_model.__doc__:  # pragma: no branch - absent only under python -OO
+    make_model.__doc__ = make_model.__doc__.replace(
+        "{models}", " | ".join(f"``{name!r}``" for name in MODEL_REGISTRY)
+    )

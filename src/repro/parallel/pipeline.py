@@ -764,7 +764,9 @@ def train_parallel(
     seed: SeedLike = 0,
     **model_kwargs: Any,
 ) -> TrainingResult:
-    """Streaming pipelined counterpart of :func:`repro.embedding.train_on_graph`.
+    """Train an embedding on ``graph``'s walk corpus or a ``tasks`` stream —
+    the one training engine behind :func:`repro.api.train_embedding`,
+    :func:`repro.api.train_dynamic` and both Figure 6 scenarios.
 
     Walk chunks stream out of the worker pool through a bounded prefetch
     window while the main process trains on them — chunk *i* trains while
@@ -802,8 +804,8 @@ def train_parallel(
     settings for every ``negative_source`` — and bit-identical to itself
     run twice.  (``"decayed"`` keeps all of that but additionally pins its
     fold/rebuild schedule to its canonical ``virtual_chunk``, so only runs
-    sharing that value agree.)  Seeds derive from the same 63-bit stream as
-    the sequential trainer (:func:`repro.utils.rng.draw_seed`).
+    sharing that value agree.)  Seeds derive from one 63-bit stream
+    (:func:`repro.utils.rng.draw_seed`).
 
     ``exec_backend`` selects the chunk-execution kernel
     (:data:`repro.embedding.kernels.EXEC_REGISTRY`): ``"reference"`` is the

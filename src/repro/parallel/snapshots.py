@@ -61,9 +61,10 @@ protocol:
 
 * the consumer retires (unlinks) a segment as soon as a *result* for a
   higher sid arrives — FIFO consumption guarantees every job of the lower
-  sid has completed — **except the live chain base**, which outstanding
-  delta refs still point at (it retires after the next re-base, once a
-  result passes the new base's sid);
+  sid has completed — **except a chain base that delta refs may still
+  point at**: the live chain's, and an old chain's until a result passes
+  its last delta (a re-base can be published while that chain's delta
+  jobs are still in the prefetch window);
 * a worker evicts cached snapshots with a lower sid than the job it is
   running — it can never see them again — keeping the job's own sid and,
   for delta jobs, the chain base's sid.
@@ -222,11 +223,15 @@ class SnapshotStore:
         payload, so eviction here is what keeps the consumer's working set
         O(live snapshots) instead of O(all snapshots).
 
-        The live chain base is exempt even when its sid is below ``sid``:
-        delta refs yet to be published (and already-published ones still in
-        flight) embed it, so it survives until a re-base starts a new chain
-        and a result passes the *new* base's sid."""
-        for old in [s for s in self._refs if s < sid and s != self._chain_base]:
+        A chain base is exempt even when its sid is below ``sid`` while any
+        delta ref that embeds it may still be in flight (sid ≥ ``sid``) or
+        be published (the live chain): it survives until a re-base starts a
+        new chain and a result passes the old chain's last delta."""
+        keep = {self._chain_base}
+        keep.update(
+            ref[2][1] for s, ref in self._refs.items() if s >= sid and ref[0] == "delta"
+        )
+        for old in [s for s in self._refs if s < sid and s not in keep]:
             self._retire(old)
 
     def close(self) -> None:

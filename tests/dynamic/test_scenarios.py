@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import train_embedding
 from repro.dynamic import run_all_scenario, run_seq_scenario
 from repro.embedding import OSELMSkipGram
 from repro.evaluation import evaluate_embedding
@@ -30,6 +31,15 @@ class TestAllScenario:
         a = run_all_scenario(graph, model="proposed", dim=8, hyper=HP, seed=3)
         b = run_all_scenario(graph, model="proposed", dim=8, hyper=HP, seed=3)
         assert np.array_equal(a.embedding, b.embedding)
+
+    def test_same_engine_as_train_embedding(self, graph):
+        """"all" is one train_parallel run: the same bits as the public
+        entry point, with the pipeline telemetry attached."""
+        res = run_all_scenario(graph, model="proposed", dim=8, hyper=HP, seed=3)
+        ref = train_embedding(graph, model="proposed", dim=8, hyper=HP, seed=3)
+        assert np.array_equal(res.embedding, ref.embedding)
+        assert res.n_contexts == ref.n_contexts
+        assert res.extras["telemetry"] is not None
 
     def test_prebuilt_model(self, graph):
         mdl = OSELMSkipGram(graph.n_nodes, 8, mu=0.05, seed=0)

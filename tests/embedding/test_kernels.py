@@ -156,9 +156,8 @@ def chunk_case(draw):
 class TestFusedToleranceContract:
     """Property-style: given the SAME negatives, ``"fused"`` matches
     ``"reference"`` within the documented per-model tolerance — exactly
-    (bit-identical) for the OS-ELM family under the batched duplicate
-    policy and for the deferred models, within ``FUSED_RTOL`` for the SGD
-    model's walk-level deferral and the sequential duplicate policy."""
+    (bit-identical) for the OS-ELM family under either duplicate policy,
+    within ``FUSED_RTOL`` for the SGD model's walk-level deferral."""
 
     @pytest.mark.parametrize("name", [m for m in MODELS if m != "original"])
     @given(case=chunk_case())
@@ -183,13 +182,11 @@ class TestFusedToleranceContract:
     @given(case=chunk_case())
     @settings(max_examples=8, deadline=None)
     def test_sequential_policy_within_float_tolerance(self, name, case):
-        """fused substitutes the batched arithmetic for
-        duplicate_policy="sequential" models — the two policies agree to
-        float tolerance (the model's own documented contract)."""
+        """fused trains duplicate_policy="sequential" models through their
+        own walk update, so it reproduces the reference bit for bit."""
         n_nodes, walks, seed = case
         a, b = shared_negative_run(name, walks, n_nodes, policy="sequential", seed=seed)
-        scale = max(np.abs(a.embedding).max(), 1.0)
-        assert np.abs(a.embedding - b.embedding).max() <= 1e-2 * scale
+        assert np.array_equal(a.embedding, b.embedding)
 
     def test_original_drift_shrinks_quadratically_with_lr(self):
         """The SGD tolerance is O(lr²) per window: shrinking lr 10× must
@@ -214,8 +211,8 @@ class TestFusedToleranceContract:
 
 class TestBlockedStaging:
     """train_chunk stages contexts+negatives in bounded blocks: an epoch
-    corpus handed to the sequential trainer must never materialize its
-    whole (window+ns)× expansion at once."""
+    corpus handed to ``train_corpus`` in one call must never materialize
+    its whole (window+ns)× expansion at once."""
 
     def test_reference_stages_one_walk(self):
         assert ReferenceKernel.block_walks == 1

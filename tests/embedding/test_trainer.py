@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import train_embedding
 from repro.embedding import (
+    MODEL_REGISTRY,
     DataflowOSELMSkipGram,
     OSELMSkipGram,
     SkipGramSGD,
     WalkTrainer,
     make_model,
-    train_on_graph,
 )
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
@@ -33,6 +34,10 @@ class TestMakeModel:
     def test_kwargs_forwarded(self):
         m = make_model("proposed", 10, 4, seed=0, mu=0.123)
         assert m.mu == 0.123
+
+    def test_docstring_names_every_registry_model(self):
+        assert all(repr(name) in make_model.__doc__ for name in MODEL_REGISTRY)
+        assert "{models}" not in make_model.__doc__
 
 
 class TestWalkTrainer:
@@ -71,6 +76,8 @@ class TestWalkTrainer:
 
 
 class TestTrainOnGraph:
+    """End-to-end static training through :func:`repro.train_embedding`."""
+
     @pytest.fixture()
     def graph(self):
         return ring_of_cliques(4, 6, seed=0)
@@ -78,42 +85,42 @@ class TestTrainOnGraph:
     def test_end_to_end_each_model(self, graph):
         hp = Node2VecParams(r=2, l=12, w=4, ns=3)
         for name in ("original", "proposed", "dataflow"):
-            res = train_on_graph(graph, dim=8, model=name, hyper=hp, seed=0)
+            res = train_embedding(graph, dim=8, model=name, hyper=hp, seed=0)
             assert res.embedding.shape == (graph.n_nodes, 8)
             assert res.n_walks == 2 * graph.n_nodes
             assert np.isfinite(res.embedding).all()
 
     def test_deterministic(self, graph):
         hp = Node2VecParams(r=1, l=10, w=4, ns=2)
-        a = train_on_graph(graph, dim=8, model="proposed", hyper=hp, seed=7)
-        b = train_on_graph(graph, dim=8, model="proposed", hyper=hp, seed=7)
+        a = train_embedding(graph, dim=8, model="proposed", hyper=hp, seed=7)
+        b = train_embedding(graph, dim=8, model="proposed", hyper=hp, seed=7)
         assert np.array_equal(a.embedding, b.embedding)
 
     def test_seed_matters(self, graph):
         hp = Node2VecParams(r=1, l=10, w=4, ns=2)
-        a = train_on_graph(graph, dim=8, model="proposed", hyper=hp, seed=1)
-        b = train_on_graph(graph, dim=8, model="proposed", hyper=hp, seed=2)
+        a = train_embedding(graph, dim=8, model="proposed", hyper=hp, seed=1)
+        b = train_embedding(graph, dim=8, model="proposed", hyper=hp, seed=2)
         assert not np.array_equal(a.embedding, b.embedding)
 
     def test_prebuilt_model_accepted(self, graph):
         hp = Node2VecParams(r=1, l=10, w=4, ns=2)
         model = OSELMSkipGram(graph.n_nodes, 8, mu=0.05, seed=0)
-        res = train_on_graph(graph, model=model, hyper=hp, seed=0)
+        res = train_embedding(graph, model=model, hyper=hp, seed=0)
         assert res.model is model
 
     def test_prebuilt_model_rejects_kwargs(self, graph):
         model = OSELMSkipGram(graph.n_nodes, 8, seed=0)
         with pytest.raises(ValueError):
-            train_on_graph(graph, model=model, mu=0.5, seed=0)
+            train_embedding(graph, model=model, mu=0.5, seed=0)
 
     def test_epochs_multiply_walks(self, graph):
         hp = Node2VecParams(r=1, l=10, w=4, ns=2)
-        res = train_on_graph(graph, dim=8, model="proposed", hyper=hp, epochs=2, seed=0)
+        res = train_embedding(graph, dim=8, model="proposed", hyper=hp, epochs=2, seed=0)
         assert res.n_walks == 2 * graph.n_nodes
 
     def test_invalid_epochs(self, graph):
         with pytest.raises(ValueError):
-            train_on_graph(graph, epochs=0, seed=0)
+            train_embedding(graph, epochs=0, seed=0)
 
     def test_quick_api(self, graph):
         from repro import quick_embedding

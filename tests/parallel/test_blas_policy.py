@@ -1,6 +1,7 @@
 """The one-BLAS-thread-per-process policy of the training engines.
 
-``train_parallel`` and ``train_on_graph`` run under
+``train_parallel`` — and so every entry point that trains through it, the
+static ``run_all_scenario`` included — runs under
 :func:`repro.utils.blas.single_blas_thread`; pool workers pin themselves in
 their initializer.  These tests pin where the policy applies, that it never
 leaks out of a run, and that it changes no arithmetic at the repo's shapes.
@@ -11,7 +12,8 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.embedding import WalkTrainer, train_on_graph
+from repro.dynamic import run_all_scenario
+from repro.embedding import WalkTrainer
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
 from repro.parallel import WalkTask, train_parallel
@@ -68,6 +70,8 @@ class TestTrainParallel:
 
 
 class TestTrainOnGraph:
+    """The static-graph scenario (Figures 5–7) trains under the policy too."""
+
     def test_pinned_inside_restored_after(self, graph, blas_spread, monkeypatch):
         seen = []
         original = WalkTrainer.train_corpus
@@ -77,8 +81,8 @@ class TestTrainOnGraph:
             return original(self, walks, sampler)
 
         monkeypatch.setattr(WalkTrainer, "train_corpus", recording)
-        train_on_graph(graph, dim=8, hyper=HP, epochs=2, seed=1)
-        assert len(seen) == 2
+        run_all_scenario(graph, dim=8, hyper=HP, seed=1)
+        assert seen
         assert all(c == dict.fromkeys(blas_spread, 1) for c in seen)
         assert blas_thread_counts() == blas_spread
 
@@ -88,7 +92,7 @@ class TestTrainOnGraph:
 
         monkeypatch.setattr(WalkTrainer, "train_corpus", failing)
         with pytest.raises(FloatingPointError):
-            train_on_graph(graph, dim=8, hyper=HP, seed=1)
+            run_all_scenario(graph, dim=8, hyper=HP, seed=1)
         assert blas_thread_counts() == blas_spread
 
 

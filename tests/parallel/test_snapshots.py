@@ -283,6 +283,29 @@ class TestDeltaStore:
         finally:
             store.close()
 
+    def test_retire_spares_old_base_while_its_deltas_are_in_flight(self, graph):
+        """A re-base can be published while the old chain's delta jobs are
+        still in the prefetch window: a result for sid 2 proves only that
+        sids < 2 finished, so sid-2 jobs may still need base 0 — and a
+        worker that never cached it reads it from the segment."""
+        chain = _delta_chain(graph, n_steps=3)
+        store = SnapshotStore(rebase_every=3)
+        try:
+            refs = [
+                store.ref_for(sid, snap, delta)
+                for sid, (snap, delta) in enumerate(chain)
+            ]  # full, delta, delta, full (re-base)
+            store.retire_below(2)
+            assert set(store._refs) == {0, 2, 3}
+            snapshots_mod._WORKER_SNAPSHOTS.clear()  # fresh worker
+            got = resolve_snapshot_ref(refs[2])
+            assert np.array_equal(got.indices, chain[2][0].indices)
+            store.retire_below(3)  # every sid-2 job done
+            assert set(store._refs) == {3}
+        finally:
+            store.close()
+            snapshots_mod._WORKER_SNAPSHOTS.clear()
+
     def test_worker_eviction_keeps_base_across_deltas(self, graph):
         """Worker cache across a chain: patching sid k keeps the base (later
         deltas reuse it) and drops other passed sids; a re-base drops the

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graph import ring_of_cliques
+from repro.graph import cora_like, ring_of_cliques
 from repro.parallel import (
     NEGATIVE_SOURCES,
     ParallelWalkGenerator,
@@ -670,12 +670,6 @@ class TestTelemetry:
         assert t.generation_s > 0
         assert 0.0 <= t.overlap_efficiency <= 1.0
 
-    def test_sequential_result_has_no_telemetry(self, graph):
-        from repro.embedding.trainer import train_on_graph
-
-        res = train_on_graph(graph, dim=8, hyper=HP, seed=0)
-        assert res.telemetry is None
-
 
 class TestInlineStateIsolation:
     def test_inline_generate_leaves_globals_alone(self, graph):
@@ -717,28 +711,31 @@ class TestApiIntegration:
         assert res.telemetry is not None
         assert res.telemetry.n_workers == 0
 
-    def test_api_default_stays_sequential(self, graph):
-        from repro import train_embedding
-        from repro.embedding.trainer import train_on_graph
-
-        a = train_embedding(graph, dim=8, hyper=HP, seed=4)
-        b = train_on_graph(graph, dim=8, hyper=HP, seed=4)
-        assert a.telemetry is None
-        assert np.array_equal(a.embedding, b.embedding)
-
-    def test_api_exec_backend_valid_on_both_paths(self, graph):
-        """exec_backend alone does NOT imply the pipeline (the sequential
-        trainer supports it too), and it rides into the pipelined path."""
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_api_bit_identical_across_worker_counts(self, seed):
+        """Every train_embedding call runs the one engine: the default
+        (n_workers=None), inline and pooled runs are byte-equal to each
+        other and to train_parallel with the same seed."""
         from repro import train_embedding
 
-        seq = train_embedding(graph, dim=8, hyper=HP, exec_backend="fused", seed=4)
-        assert seq.telemetry is None
-        assert seq.model.exec_backend == "fused"
-        par = train_embedding(
+        graph = cora_like(scale=0.05, seed=0)
+        direct = train_parallel(graph, dim=8, hyper=HP, seed=seed)
+        for n_workers in (None, 0, 2):
+            res = train_embedding(
+                graph, dim=8, hyper=HP, n_workers=n_workers, seed=seed
+            )
+            assert np.array_equal(res.embedding, direct.embedding), n_workers
+
+    def test_api_exec_backend_forwarded(self, graph):
+        """exec_backend rides into the pipeline and onto the model."""
+        from repro import train_embedding
+
+        res = train_embedding(
             graph, dim=8, hyper=HP, n_workers=2, negative_source="degree",
             exec_backend="fused", seed=4,
         )
-        assert par.telemetry.exec_backend == "fused"
+        assert res.telemetry.exec_backend == "fused"
+        assert res.model.exec_backend == "fused"
 
     def test_api_forwards_model_kwargs(self, graph):
         from repro import train_embedding

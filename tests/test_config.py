@@ -108,7 +108,6 @@ class TestEndToEndPrecedence:
     def test_sequential_config_knobs_apply_without_pipelining(self, graph):
         cfg = PipelineConfig(negative_power=0.5)
         res = train_embedding(graph, dim=8, hyper=HP, seed=2, config=cfg)
-        assert res.telemetry is None  # still the sequential path
         explicit = train_embedding(graph, dim=8, hyper=HP, seed=2, negative_power=0.5)
         assert np.array_equal(res.embedding, explicit.embedding)
 

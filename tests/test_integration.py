@@ -34,8 +34,13 @@ class TestFullPipelines:
         res = train_embedding(graph, model=acc, hyper=HP, seed=0)
         assert acc.total_cycles > 0
         assert acc.fits_device()
-        scores = evaluate_embedding(res.embedding, graph.node_labels, seed=0)
-        assert scores.micro_f1 > 0.3
+        # mean over 10 classifier splits: one 90/10 split scores 13 test
+        # nodes, so a single split moves micro-F1 in steps of 1/13
+        micro_f1 = np.mean([
+            evaluate_embedding(res.embedding, graph.node_labels, seed=k).micro_f1
+            for k in range(10)
+        ])
+        assert micro_f1 > 0.3
         # simulated accelerator time consistent with the calibrated model
         per_walk_ms = 1e3 * acc.elapsed_seconds / acc.n_walks_trained
         assert per_walk_ms < 1.0  # short walks, small dim → well under paper's 0.777
