@@ -11,7 +11,10 @@ walks/s plus each backend's speedup over ``"reference"``.
 Timing isolates the *training* stage (walks and the sampler are built once
 outside the timed region), so the numbers are the ``train_walks_per_s``
 telemetry the pipeline reports, free of generation noise.  Scored by the
-max walks/s of ``REPEATS`` runs (the scheduler-noise-free estimate).
+max walks/s of ``REPEATS`` runs (the scheduler-noise-free estimate).  A
+row's runs go round-robin across its backends (reference, fused, …,
+reference, fused, …), so host drift between runs lands on every backend
+of the row alike instead of in their ratio.
 
 Assertions: ``"fused"`` must hold ≥ 3× reference throughput for the
 ``"original"`` SGD model (the per-window Python loop the fused kernels
@@ -59,7 +62,9 @@ from repro.sampling.walks import Node2VecWalker
 from repro.utils.blas import single_blas_thread
 
 MODELS = ("original", "proposed", "dataflow", "block", "batch_rls")
-REPEATS = 2
+#: rounds per row; with two, one slowed round on a shared host could still
+#: pull a reference-equivalent column below the 0.8x parity band
+REPEATS = 3
 
 #: acceptance floors: the backend that exists for a model must deliver
 MIN_SPEEDUP = {
@@ -93,24 +98,26 @@ def test_train_kernels(benchmark, emit_report, profile):
     walks = Node2VecWalker(graph, hyper.walk_params(), seed=1).simulate()
     walks80 = Node2VecWalker(graph, hyper80.walk_params(), seed=1).simulate()
 
-    def best_of(timed):
-        """Max-walks/s result of ``REPEATS`` calls of ``timed() ->
-        (seconds, n_walks, n_contexts)``."""
-        best = None
+    def best_per_backend(timers):
+        """Max-walks/s result per backend of ``REPEATS`` rounds over
+        ``timers = {backend: timed}``, each ``timed() -> (seconds, n_walks,
+        n_contexts)``; every round runs each backend once, in turn."""
+        best = {}
         for _ in range(REPEATS):
-            train_s, n_walks, n_contexts = timed()
-            wps = n_walks / train_s
-            if best is None or wps > best["walks_per_s"]:
-                best = {
-                    "walks_per_s": wps,
-                    "contexts_per_s": n_contexts / train_s,
-                    "train_s": train_s,
-                    "n_walks": n_walks,
-                    "n_contexts": n_contexts,
-                }
+            for backend, timed in timers.items():
+                train_s, n_walks, n_contexts = timed()
+                wps = n_walks / train_s
+                if backend not in best or wps > best[backend]["walks_per_s"]:
+                    best[backend] = {
+                        "walks_per_s": wps,
+                        "contexts_per_s": n_contexts / train_s,
+                        "train_s": train_s,
+                        "n_walks": n_walks,
+                        "n_contexts": n_contexts,
+                    }
         return best
 
-    def measure(model_name, backend, corpus=walks, hp=hyper, **model_kwargs):
+    def kernel_timer(model_name, backend, corpus=walks, hp=hyper, **model_kwargs):
         def timed():
             model = make_model(model_name, graph.n_nodes, 32, seed=7, **model_kwargs)
             trainer = WalkTrainer(model, window=hp.w, ns=hp.ns, exec_backend=backend)
@@ -119,9 +126,9 @@ def test_train_kernels(benchmark, emit_report, profile):
             trainer.train_corpus(corpus, sampler)
             return time.perf_counter() - t0, trainer.n_walks, trainer.n_contexts
 
-        return best_of(timed)
+        return timed
 
-    def measure_pipeline(backend):
+    def pipeline_timer(backend):
         """Wall time of the whole streaming run: walk workers + training."""
 
         def timed():
@@ -132,7 +139,7 @@ def test_train_kernels(benchmark, emit_report, profile):
             )
             return time.perf_counter() - t0, res.n_walks, res.n_contexts
 
-        return best_of(timed)
+        return timed
 
     @single_blas_thread()  # the engines' policy (see module docstring)
     def run():
@@ -171,29 +178,40 @@ def test_train_kernels(benchmark, emit_report, profile):
             rows[name] = {**per_backend, "speedup": speedups}
 
         for model_name in MODELS:
-            per_backend = {b: measure(model_name, b) for b in EXEC_BACKENDS}
+            per_backend = best_per_backend(
+                {b: kernel_timer(model_name, b) for b in EXEC_BACKENDS}
+            )
             add_speedup_row(model_name, per_backend, per_backend["reference"])
         # the chunk-deferred headline row: batch_rls at defer_span="chunk"
         # runs only under the span-aware backends (reference/compiled feed
         # one walk at a time and reject it), so it sits outside the matrix;
         # its ×ref is vs the walk-span degeneration
-        per_backend = {
-            b: measure("batch_rls", b, defer_span="chunk") for b in ("fused", "blocked")
-        }
+        per_backend = best_per_backend(
+            {
+                b: kernel_timer("batch_rls", b, defer_span="chunk")
+                for b in ("fused", "blocked")
+            }
+        )
         add_speedup_row("batch_rls@chunk", per_backend, rows["batch_rls"]["reference"])
         # Table 2's walk length for the paper's model: the kernel alone,
         # then the whole pipeline it has to win inside
-        per_backend = {
-            b: measure("proposed", b, corpus=walks80, hp=hyper80) for b in EXEC_BACKENDS
-        }
+        per_backend = best_per_backend(
+            {
+                b: kernel_timer("proposed", b, corpus=walks80, hp=hyper80)
+                for b in EXEC_BACKENDS
+            }
+        )
         add_speedup_row("proposed@l80", per_backend, per_backend["reference"])
-        per_backend = {b: measure_pipeline(b) for b in L80_BACKENDS_PIPELINE}
+        per_backend = best_per_backend(
+            {b: pipeline_timer(b) for b in L80_BACKENDS_PIPELINE}
+        )
         add_speedup_row("proposed@l80 pipeline", per_backend, per_backend["reference"])
         report.data = rows
         report.add_note(
             "walks/s inside WalkTrainer.train_corpus (train stage only; "
             "corpus and sampler built outside the timed region); max of "
-            f"{REPEATS} runs each; 'proposed@l80 pipeline' is the wall time "
+            f"{REPEATS} runs each, interleaved round-robin across a row's "
+            "backends; 'proposed@l80 pipeline' is the wall time "
             "of a whole train_parallel(n_workers=2) run at l=80 (walk "
             "workers included)"
         )

@@ -10,11 +10,9 @@ any trained table (or a live :class:`~repro.store.base.EmbeddingStore` a
 training run published into) behind the async query front end of
 :mod:`repro.serving`.
 
-The pipeline's eight execution knobs also travel as one frozen
-:class:`repro.config.PipelineConfig` accepted by every training entry
-point as ``config=``; individually passed kwargs override config fields
-(conflicting duplicates warn ``DeprecationWarning``, equal ones are
-silent).
+Every pipeline knob is a plain keyword argument, forwarded unchanged to
+:func:`repro.parallel.train_parallel`; ``None`` means "the engine's
+default", so each default is stated once, in the engine.
 
 Imports of the genuinely heavy subpackages (the scipy-backed evaluation
 stack, experiments, fpga) happen lazily so that ``import repro`` stays
@@ -31,7 +29,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import PipelineConfig
 from repro.embedding.kernels import EXEC_REGISTRY
 from repro.sampling.sources import SOURCE_REGISTRY
 from repro.store import STORE_REGISTRY
@@ -47,7 +44,6 @@ if TYPE_CHECKING:  # annotation-only: the heavy layers stay lazily imported
     from repro.utils.rng import SeedLike
 
 __all__ = [
-    "PipelineConfig",
     "train_embedding",
     "train_dynamic",
     "quick_embedding",
@@ -85,7 +81,6 @@ def train_embedding(
     chunk_size: int | str | None = None,
     prefetch: int | None = None,
     exec_backend: str | None = None,
-    config: PipelineConfig | None = None,
     store: str | EmbeddingStore | None = None,
     publish_every: int = 1,
     seed: SeedLike = None,
@@ -165,11 +160,6 @@ def train_embedding(
     prefetch:
         chunks kept in flight ahead of the trainer (default
         ``max(2, 2 * n_workers)``).
-    config:
-        a frozen :class:`repro.config.PipelineConfig` bundling the
-        pipeline knobs.  Individual kwargs override config fields; a
-        *conflicting* duplicate (both set, different values) warns
-        ``DeprecationWarning`` — the kwarg wins.
     store:
         serving-store hookup: a name from
         :data:`repro.store.STORE_REGISTRY` or a pre-constructed
@@ -209,7 +199,6 @@ def train_embedding(
         negative_source=negative_source,
         negative_power=negative_power,
         exec_backend=exec_backend,
-        config=config,
         store=store,
         publish_every=publish_every,
         seed=seed,
@@ -235,7 +224,6 @@ def train_dynamic(
     prefetch: int | None = None,
     exec_backend: str | None = None,
     snapshot_rebase_every: int | None = None,
-    config: PipelineConfig | None = None,
     store: str | EmbeddingStore | None = None,
     publish_every: int = 1,
     seed: SeedLike = None,
@@ -271,8 +259,6 @@ def train_dynamic(
     :func:`repro.parallel.train_parallel`; ``1`` disables, embeddings are
     bit-identical either way).
 
-    ``config`` accepts the same frozen :class:`repro.config.PipelineConfig`
-    as :func:`train_embedding`, with the same kwarg-wins precedence.
     ``store`` hooks the replay up to the serving layer (a
     :data:`repro.store.STORE_REGISTRY` name or an
     :class:`~repro.store.base.EmbeddingStore` instance):
@@ -311,7 +297,6 @@ def train_dynamic(
         negative_power=negative_power,
         exec_backend=exec_backend,
         snapshot_rebase_every=snapshot_rebase_every,
-        config=config,
         store=store,
         publish_every=publish_every,
         model_kwargs=model_kwargs or None,

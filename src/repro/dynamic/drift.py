@@ -92,12 +92,12 @@ def run_drift_scenario(
     hyper=None,
     drift_fraction: float = 0.2,
     seed=None,
-    n_workers: int = 0,
+    n_workers: int | None = None,
     chunk_size: int | str | None = None,
     prefetch: int | None = None,
-    transport: str = "shm",
-    negative_source="corpus",
-    negative_power: float = 0.75,
+    transport: str | None = None,
+    negative_source=None,
+    negative_power: float | None = None,
     exec_backend: str | None = None,
     model_kwargs: dict | None = None,
 ) -> DriftResult:
@@ -114,7 +114,7 @@ def run_drift_scenario(
     ``DriftResult.extras["telemetry"]``.
     """
     from repro.experiments.hyper import Node2VecParams
-    from repro.parallel import DEFAULT_CHUNK_SIZE, train_parallel
+    from repro.parallel import train_parallel
 
     check_positive("dim", dim, integer=True)
     hp = hyper or Node2VecParams()
@@ -132,7 +132,7 @@ def run_drift_scenario(
             model=model,
             hyper=hp,
             n_workers=n_workers,
-            chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
+            chunk_size=chunk_size,
             prefetch=prefetch,
             transport=transport,
             negative_source=negative_source,

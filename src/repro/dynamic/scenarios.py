@@ -122,7 +122,6 @@ def run_seq_scenario(
     negative_power: float | None = None,
     exec_backend: str | None = None,
     snapshot_rebase_every: int | None = None,
-    config=None,
     store=None,
     publish_every: int = 1,
     model_kwargs: dict | None = None,
@@ -136,7 +135,8 @@ def run_seq_scenario(
         the FULL graph; the scenario derives the forest and the replay
         stream internally (seeded).
     edges_per_event / max_events:
-        scale knobs (see module docstring).
+        scale knobs (see module docstring); both must be positive ints
+        (``max_events=None`` replays every event).
     initial_training:
         additionally train the standard r-walks-per-node corpus on the
         initial forest before the replay.  Default False: the paper
@@ -157,8 +157,7 @@ def run_seq_scenario(
     negative_source:
         any :data:`repro.sampling.sources.SOURCE_REGISTRY` name or
         :class:`~repro.sampling.sources.NegativeSource` instance.  Default
-        (when neither the kwarg nor ``config`` set it) ``"decayed"``: the
-        online source that folds the replay's walk
+        ``"decayed"``: the online source that folds the replay's walk
         frequencies into an exponentially-decayed count vector and rebuilds
         its alias table every K virtual chunks — the streaming successor of
         the old per-event ``sampler_refresh`` loop (tune via a
@@ -177,11 +176,6 @@ def run_seq_scenario(
         into their cached CSR (``1`` disables; embeddings are
         bit-identical either way, and ``ipc_delta_bytes`` /
         ``delta_applies`` / ``rebase_count`` land in the telemetry).
-    config:
-        a frozen :class:`repro.config.PipelineConfig` bundling the
-        pipeline knobs; individual kwargs override its fields (the
-        :meth:`~repro.config.PipelineConfig.merged` precedence contract,
-        enforced inside :func:`~repro.parallel.train_parallel`).
     store / publish_every:
         serving-store hookup, forwarded to
         :func:`~repro.parallel.train_parallel`: each replayed task epoch
@@ -197,15 +191,13 @@ def run_seq_scenario(
     from repro.parallel import train_parallel
     from repro.parallel.tasks import WalkTask
 
-    # the scenario's own default negative source is the online "decayed"
-    # (not the pipeline's "corpus"); it applies only when neither the kwarg
-    # nor the config names a source, so config precedence stays intact
-    if negative_source is None and (
-        config is None or config.negative_source is None
-    ):
+    # the scenario's own default is the online source, not the engine's "corpus"
+    if negative_source is None:
         negative_source = "decayed"
 
     check_positive("edges_per_event", edges_per_event, integer=True)
+    if max_events is not None:
+        check_positive("max_events", max_events, integer=True)
     hp = hyper or Node2VecParams()
     if walks_per_endpoint is None:
         walks_per_endpoint = hp.r
@@ -255,7 +247,6 @@ def run_seq_scenario(
         negative_power=negative_power,
         exec_backend=exec_backend,
         snapshot_rebase_every=snapshot_rebase_every,
-        config=config,
         store=store,
         publish_every=publish_every,
         tasks=replay_tasks,
@@ -265,10 +256,10 @@ def run_seq_scenario(
 
     # Any truncated remainder enters the graph untrained (task stays full).
     dyn = state.get("dyn") or DynamicGraph(graph.n_nodes, initial=split.initial)
-    if max_events is not None:
-        done = min(max_events * edges_per_event, split.removed_edges.shape[0])
-        if done < split.removed_edges.shape[0]:
-            dyn.add_edges(split.removed_edges[done:])
+    n_removed = split.removed_edges.shape[0]
+    done = n_removed if max_events is None else min(max_events * edges_per_event, n_removed)
+    if done < n_removed:
+        dyn.add_edges(split.removed_edges[done:])
 
     return ScenarioResult(
         embedding=result.embedding,
@@ -279,12 +270,7 @@ def run_seq_scenario(
         scenario="seq",
         extras={
             "initial_edges": split.initial.n_edges,
-            "replayed_edges": int(
-                min(
-                    (max_events or np.inf) * edges_per_event,
-                    split.removed_edges.shape[0],
-                )
-            ),
+            "replayed_edges": int(done),
             "final_graph": dyn.snapshot(),
             "telemetry": result.telemetry,
             "training_result": result,

@@ -126,7 +126,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import PipelineConfig
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.kernels import resolve_backend
 from repro.embedding.trainer import TrainingResult, WalkTrainer, make_model
@@ -409,6 +408,18 @@ class PipelineTelemetry:
         return self.train_contexts / self.train_s
 
 
+def _check_pool_knobs(
+    n_workers: Any, prefetch: Any, snapshot_rebase_every: Any
+) -> None:
+    """Reject a bad worker count, prefetch depth or delta re-base period
+    with a ValueError naming the knob (``prefetch=None`` is the default)."""
+    if not isinstance(n_workers, (int, np.integer)) or n_workers < 0:
+        raise ValueError(f"n_workers must be a non-negative int, got {n_workers!r}")
+    if prefetch is not None:
+        check_positive("prefetch", prefetch, integer=True)
+    check_positive("snapshot_rebase_every", snapshot_rebase_every, integer=True)
+
+
 class ParallelWalkGenerator:
     """Chunked, seeded, optionally multiprocess walk generation over a
     stream of :class:`~repro.parallel.tasks.WalkTask` items.
@@ -461,12 +472,9 @@ class ParallelWalkGenerator:
     ):
         check_positive("chunk_size", chunk_size, integer=True)
         check_in_set("transport", transport, TRANSPORTS)
-        check_positive("snapshot_rebase_every", snapshot_rebase_every, integer=True)
-        if n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
+        _check_pool_knobs(n_workers, prefetch, snapshot_rebase_every)
         if prefetch is None:
             prefetch = max(2, 2 * int(n_workers))
-        check_positive("prefetch", prefetch, integer=True)
         self.graph = graph
         self.params = params or WalkParams()
         self.n_workers = int(n_workers)
@@ -757,7 +765,6 @@ def train_parallel(
     negative_power: float | None = None,
     exec_backend: str | None = None,
     snapshot_rebase_every: int | None = None,
-    config: PipelineConfig | None = None,
     store: Any | None = None,
     publish_every: int = 1,
     tasks: Iterable[WalkTask] | Callable[[], Iterable[WalkTask]] | None = None,
@@ -832,11 +839,6 @@ def train_parallel(
     :data:`repro.parallel.snapshots.DEFAULT_REBASE_EVERY`.  No effect on
     delta-free streams, the static corpus, or the inline path.
 
-    ``config`` accepts a frozen :class:`repro.config.PipelineConfig`
-    bundling the execution knobs above; an explicitly passed kwarg
-    overrides the corresponding config field (a *conflicting* duplicate
-    warns ``DeprecationWarning``; equal duplicates are silent).
-
     ``store`` hooks the run up to the serving layer: pass a
     :data:`repro.store.STORE_REGISTRY` name or a live
     :class:`~repro.store.base.EmbeddingStore` and the pipeline publishes
@@ -863,34 +865,21 @@ def train_parallel(
     """
     from repro.experiments.hyper import Node2VecParams
 
-    knobs = (config or PipelineConfig()).merged(
-        n_workers=n_workers,
-        transport=transport,
-        chunk_size=chunk_size,
-        prefetch=prefetch,
-        exec_backend=exec_backend,
-        negative_source=negative_source,
-        negative_power=negative_power,
-        snapshot_rebase_every=snapshot_rebase_every,
-    )
-    n_workers = knobs["n_workers"] if knobs["n_workers"] is not None else 0
-    chunk_size = (
-        knobs["chunk_size"] if knobs["chunk_size"] is not None else DEFAULT_CHUNK_SIZE
-    )
-    prefetch = knobs["prefetch"]
-    transport = knobs["transport"] if knobs["transport"] is not None else "shm"
-    negative_source = (
-        knobs["negative_source"] if knobs["negative_source"] is not None else "corpus"
-    )
-    negative_power = (
-        knobs["negative_power"] if knobs["negative_power"] is not None else 0.75
-    )
-    exec_backend = knobs["exec_backend"]
-    rebase_every = (
-        knobs["snapshot_rebase_every"]
-        if knobs["snapshot_rebase_every"] is not None
-        else DEFAULT_REBASE_EVERY
-    )
+    if n_workers is None:
+        n_workers = 0
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_SIZE
+    if transport is None:
+        transport = "shm"
+    if negative_source is None:
+        negative_source = "corpus"
+    if negative_power is None:
+        negative_power = 0.75
+    if snapshot_rebase_every is None:
+        snapshot_rebase_every = DEFAULT_REBASE_EVERY
+    # before the model, store or sampler is touched: a rejected call leaves
+    # the caller's objects as they were
+    _check_pool_knobs(n_workers, prefetch, snapshot_rebase_every)
 
     check_positive("epochs", epochs, integer=True)
     check_in_set("transport", transport, TRANSPORTS)
@@ -956,7 +945,7 @@ def train_parallel(
             seed=epoch_seeds[epoch],
             prefetch=prefetch,
             transport=transport,
-            snapshot_rebase_every=rebase_every,
+            snapshot_rebase_every=snapshot_rebase_every,
         )
 
     def _task_stream():

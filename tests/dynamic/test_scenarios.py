@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import train_embedding
+from repro import train_dynamic, train_embedding
 from repro.dynamic import run_all_scenario, run_seq_scenario
 from repro.embedding import OSELMSkipGram
 from repro.evaluation import evaluate_embedding
@@ -95,6 +95,14 @@ class TestSeqScenario:
         assert short.n_events == 3
         assert short.n_events < full.n_events
         assert short.n_walks < full.n_walks
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    @pytest.mark.parametrize("entry", [run_seq_scenario, train_dynamic])
+    def test_non_positive_max_events_rejected(self, graph, entry, max_events):
+        """max_events=0 would replay nothing yet report every edge replayed,
+        and a negative value would drop edges from the final graph."""
+        with pytest.raises(ValueError, match="max_events"):
+            entry(graph, dim=8, hyper=HP, seed=0, max_events=max_events)
 
     def test_batching_reduces_events(self, graph):
         a = run_seq_scenario(

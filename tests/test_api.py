@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro import quick_embedding, serve_embedding, train_embedding
+from repro import quick_embedding, serve_embedding, train_dynamic, train_embedding
 from repro.experiments.hyper import Node2VecParams
 from repro.graph import ring_of_cliques
+from repro.parallel import train_parallel
 
 HP = Node2VecParams(r=1, l=10, w=4, ns=2)
 
@@ -20,12 +21,10 @@ class TestPackage:
 
     def test_public_names(self):
         assert set(repro.__all__) >= {
-            "train_embedding", "quick_embedding", "serve_embedding", "PipelineConfig",
+            "train_embedding", "quick_embedding", "serve_embedding",
         }
 
     def test_store_backends_rendered_into_docs(self):
-        from repro.api import train_dynamic
-
         for fn in (train_embedding, train_dynamic, serve_embedding):
             assert '"local"' in fn.__doc__ and '"shm"' in fn.__doc__
 
@@ -71,6 +70,42 @@ class TestTrainEmbedding:
             )
         finally:
             res.store.close()
+
+
+def _bad_knob_cases():
+    knobs = [
+        ("n_workers", -1), ("n_workers", 1.5),
+        ("prefetch", 0), ("prefetch", -2),
+        ("snapshot_rebase_every", 0),
+    ]
+    for entry in (train_parallel, train_embedding, train_dynamic):
+        for knob, value in knobs:
+            # train_embedding trains a static corpus, which has no snapshots
+            if entry is train_embedding and knob == "snapshot_rebase_every":
+                continue
+            yield pytest.param(entry, knob, value, id=f"{entry.__name__}-{knob}={value}")
+
+
+class TestKnobValidation:
+    """Out-of-range pipeline knobs are rejected by every training entry
+    point with a ValueError naming the knob."""
+
+    @pytest.mark.parametrize("entry, knob, value", list(_bad_knob_cases()))
+    def test_rejects_bad_knob(self, entry, knob, value):
+        graph = ring_of_cliques(3, 6, seed=0)
+        with pytest.raises(ValueError, match=knob):
+            entry(graph, dim=8, hyper=HP, seed=0, **{knob: value})
+
+    def test_rejected_before_the_model_is_touched(self):
+        """The knob checks run before the trainer records the backend as
+        the caller's model preference."""
+        from repro.embedding import make_model
+
+        graph = ring_of_cliques(3, 6, seed=0)
+        mdl = make_model("proposed", graph.n_nodes, 8, seed=0)
+        with pytest.raises(ValueError, match="prefetch"):
+            train_parallel(graph, model=mdl, hyper=HP, exec_backend="fused", prefetch=0)
+        assert mdl.exec_backend == "reference"
 
 
 class TestServeEmbedding:

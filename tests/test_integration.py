@@ -75,6 +75,8 @@ class TestExamplesCompile:
             "scale_factor_study.py",
             "link_prediction.py",
             "parallel_training.py",
+            "serving_quickstart.py",
+            "dynamic_streaming.py",
         ],
     )
     def test_example_compiles(self, script):
@@ -95,3 +97,16 @@ class TestExamplesCompile:
         assert out.returncode == 0, out.stderr
         assert "Paper design points" in out.stdout
         assert "parallelism sweep" in out.stdout.lower()
+
+    def test_serving_quickstart_runs(self):
+        """Trains with live publishing into a shm store, serves it and
+        attaches a cross-process reader to a pinned epoch."""
+        out = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / "serving_quickstart.py")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "published epochs (0, 1, 2)" in out.stdout
+        assert "bit-identical = True" in out.stdout
